@@ -3,6 +3,7 @@
 //! The harness binaries are thin wrappers over these.
 
 use mudock_archsim::{all_archs, all_compilers, compiler, Study};
+use mudock_core::Backend;
 
 use crate::fmt;
 
@@ -198,11 +199,34 @@ pub fn fig3(study: &Study) {
     println!("FIGURE 3 (modeled): vectorization ratio and speedup vs no-vec\n");
     println!("{}", fmt::table(&headers, &rows));
     println!("paper shape: ratio ≈ 1 when vectorization succeeds; ≈ 0 for GCC/NVCC on ARM; largest speedups on 512-bit machines, smallest on Genoa\n");
+    let host = crate::HostWorkload::standard(400).backend_comparison();
+    if let Some(line) = host_autovec_line(&host) {
+        println!("{line}\n");
+    }
     let _ = fmt::write_csv(
         "fig3_vectorization.csv",
         &["arch", "compiler", "vect_ratio", "speedup"],
         &rows.iter().map(|r| r[..4].to_vec()).collect::<Vec<_>>(),
     );
+}
+
+/// The measured counterpart of a Fig. 3 row, from
+/// [`HostWorkload::backend_comparison`](crate::HostWorkload::backend_comparison)
+/// rows: the host's AutoVec µs/pose, its time over the fastest explicit
+/// SIMD backend's (the base, named), and its speedup over `reference`.
+pub fn host_autovec_line(rows: &[(String, f64, f64)]) -> Option<String> {
+    let (_, autovec, speedup) = rows.iter().find(|(n, _, _)| n == "autovec")?;
+    let (base, best, _) = rows
+        .iter()
+        .filter(|(n, _, _)| matches!(Backend::parse(n), Some(Backend::Explicit(_))))
+        .min_by(|a, b| a.1.total_cmp(&b.1))?;
+    Some(format!(
+        "HOST (measured): autovec {:.2} µs/pose = {:.2}× the time of the fastest explicit backend ({base}, {:.2} µs/pose); {:.2}× faster than reference",
+        autovec * 1e6,
+        autovec / best,
+        best * 1e6,
+        speedup
+    ))
 }
 
 /// Figure 4: pipeline stall fraction.
@@ -359,4 +383,30 @@ pub fn coverage(study: &Study) -> usize {
         }
     }
     n
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn host_autovec_line_names_the_fastest_explicit_base() {
+        let rows: Vec<(String, f64, f64)> = [
+            ("reference", 16e-6, 1.0),
+            ("autovec", 3.2e-6, 5.0),
+            ("scalar", 20e-6, 0.8),
+            ("avx2", 3.0e-6, 5.33),
+            ("avx512", 2.5e-6, 6.4),
+        ]
+        .into_iter()
+        .map(|(n, s, x)| (n.to_string(), s, x))
+        .collect();
+        let line = host_autovec_line(&rows).unwrap();
+        assert!(line.contains("autovec 3.20 µs/pose"), "{line}");
+        assert!(line.contains("1.28× the time"), "{line}");
+        assert!(line.contains("(avx512, 2.50 µs/pose)"), "{line}");
+        assert!(line.contains("5.00× faster than reference"), "{line}");
+        // No explicit backend measured: nothing to compare against.
+        assert_eq!(host_autovec_line(&rows[..2]), None);
+    }
 }

@@ -7,6 +7,7 @@ use mudock_mol::{AtomStatics, ConformSoA, Molecule, MoleculeError, Topology, Vec
 use mudock_simd::SimdLevel;
 use rand::SeedableRng as _;
 
+use crate::autovec::{apply_pose_autovec, inter_energy_autovec, intra_energy_autovec};
 use crate::ga::{Ga, GaParams};
 use crate::genotype::Genotype;
 use crate::scoring::inter::{inter_energy_reference, inter_energy_simd};
@@ -22,9 +23,9 @@ pub enum Backend {
     /// calls block loop vectorization: this is the paper's
     /// "GCC on ARM without a vectorized GLIBC" arm.
     Reference,
-    /// The width-generic kernels instantiated at one lane with inlinable
-    /// polynomial math — the loop shape a compiler auto-vectorizes when a
-    /// vector math library is available (the `#pragma omp simd` arm).
+    /// Plain-loop kernels with inlinable polynomial math
+    /// ([`crate::autovec`]), vectorized by the compiler in the host's
+    /// widest ISA frame — the `#pragma omp simd` arm.
     AutoVec,
     /// Explicit vectorization through `mudock-simd` (the Highway arm).
     Explicit(SimdLevel),
@@ -76,12 +77,23 @@ impl Backend {
     }
 
     /// What an *unpinned* run scores with: the [`Backend::from_env`]
-    /// pin when set, otherwise the widest SIMD level the host supports.
-    /// This is the single resolution point behind
-    /// [`DockParams::default`] and
+    /// pin when set, otherwise the widest SIMD level the host supports —
+    /// or [`Backend::AutoVec`] where that level is the one-lane scalar
+    /// one (every non-x86 host), since the compiler-vectorized loops beat
+    /// one explicit lane there. This is the single resolution point
+    /// behind [`DockParams::default`] and
     /// [`BackendPolicy::Detect`](crate::campaign::BackendPolicy).
     pub fn auto() -> Backend {
-        Backend::from_env().unwrap_or(Backend::Explicit(SimdLevel::detect()))
+        Backend::resolve(Backend::from_env(), SimdLevel::detect())
+    }
+
+    /// The rule behind [`Backend::auto`], given the pin and the detected
+    /// level.
+    fn resolve(pin: Option<Backend>, detected: SimdLevel) -> Backend {
+        pin.unwrap_or(match detected {
+            SimdLevel::Scalar => Backend::AutoVec,
+            level => Backend::Explicit(level),
+        })
     }
 }
 
@@ -268,9 +280,10 @@ impl<'a> DockingEngine<'a> {
                     + tors_penalty
             }
             Backend::AutoVec => {
-                apply_pose_simd(SimdLevel::Scalar, &prep.base, &prep.plans, g, scratch);
-                inter_energy_simd(SimdLevel::Scalar, self.grids, scratch, &prep.statics)
-                    + intra_energy_simd(SimdLevel::Scalar, scratch, &prep.pairs)
+                let frame = SimdLevel::detect();
+                apply_pose_autovec(frame, &prep.base, &prep.plans, g, scratch);
+                inter_energy_autovec(frame, self.grids, scratch, &prep.statics)
+                    + intra_energy_autovec(frame, scratch, &prep.pairs)
                     + tors_penalty
             }
             Backend::Explicit(level) => {
@@ -546,6 +559,25 @@ mod tests {
         // Unknown names are rejected, not defaulted.
         for bogus in ["", "neon", "avx1024", "auto vec", "fastest", "sse 2"] {
             assert_eq!(Backend::parse(bogus), None, "'{bogus}' must be rejected");
+        }
+    }
+
+    #[test]
+    fn auto_takes_the_pin_then_the_widest_level_then_autovec() {
+        for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Avx512] {
+            assert_eq!(Backend::resolve(None, level), Backend::Explicit(level));
+        }
+        // Hosts with no vector backend get the compiler-vectorized loops.
+        assert_eq!(Backend::resolve(None, SimdLevel::Scalar), Backend::AutoVec);
+        for pin in [
+            Backend::Reference,
+            Backend::AutoVec,
+            Backend::Explicit(SimdLevel::Scalar),
+            Backend::Explicit(SimdLevel::Avx2),
+        ] {
+            for level in SimdLevel::ALL {
+                assert_eq!(Backend::resolve(Some(pin), level), pin);
+            }
         }
     }
 

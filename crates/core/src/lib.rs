@@ -11,7 +11,7 @@
 //! | [`Backend`]               | paper analogue                                   |
 //! |---------------------------|--------------------------------------------------|
 //! | [`Backend::Reference`]    | scalar + `libm` (no vector math → no vectorization, the GCC-on-ARM case) |
-//! | [`Backend::AutoVec`]      | auto-vectorizable loops with inline polynomial math (`#pragma omp simd` + `-fveclib`) |
+//! | [`Backend::AutoVec`]      | plain loops with inline polynomial math, vectorized by LLVM in the host's widest ISA frame ([`autovec`]; `#pragma omp simd` + `-fveclib`) |
 //! | [`Backend::Explicit`]     | explicit SIMD via `mudock-simd` (Google Highway) |
 //!
 //! Runs are described by the [`campaign`] API: a [`CampaignSpec`] built
@@ -50,6 +50,7 @@
 //! assert_eq!(report.evaluations, 50);
 //! ```
 
+pub mod autovec;
 pub mod campaign;
 pub mod engine;
 pub mod ga;

@@ -288,6 +288,11 @@ mod tests {
                 (got - want).abs() < 2e-3 * want.abs().max(1.0),
                 "{level}: {got} vs {want}"
             );
+            let got = crate::autovec::inter_energy_autovec(level, &gs, &conf, &st);
+            assert!(
+                (got - want).abs() < 2e-3 * want.abs().max(1.0),
+                "autovec@{level}: {got} vs {want}"
+            );
         }
     }
 

@@ -11,11 +11,11 @@
 //!   Library calls in the loop body are exactly what blocks loop
 //!   vectorization when no vector math library exists (the paper's
 //!   GCC-on-ARM case).
-//! * [`intra_energy_kernel`] at [`mudock_simd::Scalar`] — the same
-//!   arithmetic with inlinable polynomial math: what a compiler can
-//!   auto-vectorize when a vector math library *is* available.
-//! * [`intra_energy_kernel`] at SSE2/AVX2/AVX-512 — explicit vectorization
-//!   (the Highway arm).
+//! * [`crate::autovec::intra_energy_autovec`] — the same arithmetic as
+//!   plain loops with inlinable polynomial math: what a compiler
+//!   auto-vectorizes when a vector math library *is* available.
+//! * [`intra_energy_kernel`] — explicit vectorization (the Highway arm),
+//!   at any [`mudock_simd::SimdLevel`] including the one-lane scalar one.
 
 use mudock_ff::params::NB_CUTOFF;
 use mudock_ff::terms::{ECLAMP, RMIN};
@@ -173,6 +173,11 @@ mod tests {
                 assert!(
                     (got - want).abs() < 2e-3 * want.abs().max(1.0),
                     "seed {seed} {level}: {got} vs {want}"
+                );
+                let got = crate::autovec::intra_energy_autovec(level, &conf, &pairs);
+                assert!(
+                    (got - want).abs() < 2e-3 * want.abs().max(1.0),
+                    "seed {seed} autovec@{level}: {got} vs {want}"
                 );
             }
         }

@@ -1,7 +1,7 @@
 //! Pose scoring — the paper's Algorithm 2, split into the grid-lookup
 //! inter-energy (memory-bound) and pairwise intra-energy (compute-bound)
-//! kernels, each with reference, auto-vectorizable and explicit-SIMD
-//! implementations.
+//! kernels, each with reference and explicit-SIMD implementations here
+//! and a compiler-vectorized one in [`crate::autovec`].
 
 pub mod inter;
 pub mod intra;

@@ -5,12 +5,14 @@
 //!
 //! * [`apply_pose_reference`] — index-chasing scalar code (rotates only the
 //!   atoms in each torsion's moving set);
-//! * [`apply_pose_kernel`] — width-generic branchless code: every torsion
-//!   rotates *all* atoms and blends the result with a per-atom 0/1 mask.
-//!   This trades redundant arithmetic for streaming, gather/scatter-free
-//!   vector code — the transformation that makes the loop vectorizable
-//!   (instantiate with [`mudock_simd::Scalar`] to get the
-//!   auto-vectorizable form, or any wider backend for explicit SIMD).
+//! * [`apply_pose_kernel`] — width-generic branchless code for the
+//!   explicit SIMD backends: every torsion rotates *all* atoms and blends
+//!   the result with a per-atom 0/1 mask. This trades redundant
+//!   arithmetic for streaming, gather/scatter-free vector code — the
+//!   transformation that makes the loop vectorizable.
+//!
+//! The compiler-vectorized form of the same masked loop is
+//! [`crate::autovec::apply_pose_autovec`].
 
 use mudock_mol::{ConformSoA, Quat, Topology};
 use mudock_simd::{dispatch, Simd, SimdLevel};
@@ -257,9 +259,16 @@ mod tests {
             for level in SimdLevel::available() {
                 let mut got = ConformSoA::with_capacity(base.n);
                 apply_pose_simd(level, &base, &plans, &g, &mut got);
+                let mut autovec = ConformSoA::with_capacity(base.n);
+                crate::autovec::apply_pose_autovec(level, &base, &plans, &g, &mut autovec);
                 for i in 0..base.n {
                     let d = (got.pos(i) - want.pos(i)).norm();
                     assert!(d < 1e-3, "{level} trial {trial} atom {i}: off by {d}");
+                    let d = (autovec.pos(i) - want.pos(i)).norm();
+                    assert!(
+                        d < 1e-3,
+                        "autovec@{level} trial {trial} atom {i}: off by {d}"
+                    );
                 }
             }
         }

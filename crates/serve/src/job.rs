@@ -268,6 +268,16 @@ impl JobShared {
     pub fn try_outcome(&self) -> Option<JobOutcome> {
         self.state.lock().unwrap().1.clone()
     }
+
+    /// State and outcome read under one lock: a terminal state always
+    /// comes with its outcome, even while [`JobShared::finish`] races.
+    pub fn snapshot(&self) -> (JobState, Option<JobOutcome>) {
+        let s = self
+            .state
+            .lock()
+            .expect("job state lock poisoned by a panicking executor");
+        (s.0, s.1.clone())
+    }
 }
 
 /// Client-side handle to a submitted job.
@@ -325,6 +335,13 @@ impl JobHandle {
     /// The outcome, if the job already reached a terminal state.
     pub fn try_outcome(&self) -> Option<JobOutcome> {
         self.shared.try_outcome()
+    }
+
+    /// The state and the outcome as one consistent reading: unlike
+    /// separate [`JobHandle::state`] and [`JobHandle::try_outcome`]
+    /// calls, a terminal state here always carries its outcome.
+    pub fn snapshot(&self) -> (JobState, Option<JobOutcome>) {
+        self.shared.snapshot()
     }
 }
 

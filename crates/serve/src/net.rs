@@ -1932,17 +1932,23 @@ fn evict_terminal_jobs(jobs: &mut HashMap<JobId, NetJob>, max_retained: usize) -
 }
 
 fn job_status(job: &NetJob, id: JobId) -> Response {
-    let outcome = job.handle.try_outcome();
-    let v = wire::status_to_json(
+    Response::json(200, &status_json(job, id))
+}
+
+/// A job's status document. State and outcome come from one snapshot,
+/// so a poll racing the job's end never reads a terminal state without
+/// its outcome.
+fn status_json(job: &NetJob, id: JobId) -> Json {
+    let (state, outcome) = job.handle.snapshot();
+    wire::status_to_json(
         id,
         &job.name,
-        job.handle.state(),
+        state,
         job.handle.ligands_done(),
         job.handle.chunks_done(),
         &job.handle.stage_timings(),
         outcome.as_ref(),
-    );
-    Response::json(200, &v)
+    )
 }
 
 fn job_results(job: &NetJob, _id: JobId) -> Response {
@@ -1970,16 +1976,7 @@ fn job_results(job: &NetJob, _id: JobId) -> Response {
 
 fn cancel_job(job: &NetJob, id: JobId) -> Response {
     job.handle.cancel();
-    let v = wire::status_to_json(
-        id,
-        &job.name,
-        job.handle.state(),
-        job.handle.ligands_done(),
-        job.handle.chunks_done(),
-        &job.handle.stage_timings(),
-        job.handle.try_outcome().as_ref(),
-    );
-    Response::json(202, &v)
+    Response::json(202, &status_json(job, id))
 }
 
 // ---------------------------------------------------------------------------
@@ -2975,5 +2972,60 @@ mod tests {
         );
         server.shutdown();
         service.shutdown();
+    }
+
+    /// `GET /jobs/{id}` polled while jobs finish: every terminal state it
+    /// reports must carry the outcome. A handler reading state and outcome
+    /// under two lock acquisitions fails this: a `finish` between them
+    /// yields `completed` with no outcome.
+    #[test]
+    fn status_polled_while_jobs_finish_never_lacks_the_outcome() {
+        use crate::job::{JobOutcome, JobShared};
+        use std::hint::spin_loop;
+        for id in 0..2000 {
+            let shared = JobShared::new(id);
+            shared.set_running();
+            let job = NetJob {
+                handle: JobHandle {
+                    shared: Arc::clone(&shared),
+                },
+                name: "race".into(),
+                results: PathBuf::new(),
+            };
+            let go = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    while !go.load(Ordering::SeqCst) {
+                        spin_loop();
+                    }
+                    // Sweep the finish instant across the poll loop.
+                    for _ in 0..(id % 64) * 8 {
+                        spin_loop();
+                    }
+                    shared.finish(JobOutcome {
+                        id,
+                        name: "race".into(),
+                        state: JobState::Completed,
+                        ligands_done: 1,
+                        chunks_done: 1,
+                        replayed_chunks: 0,
+                        grid_cache_hit: false,
+                        stopped_early: false,
+                        top: Vec::new(),
+                        elapsed: Duration::from_millis(1),
+                        error: None,
+                    });
+                });
+                go.store(true, Ordering::SeqCst);
+                loop {
+                    let status = wire::status_from_json(&status_json(&job, id)).unwrap();
+                    if status.is_terminal() {
+                        assert!(status.outcome.is_some(), "job {id}: terminal, no outcome");
+                        break;
+                    }
+                    assert!(status.outcome.is_none(), "job {id}: outcome while running");
+                }
+            });
+        }
     }
 }
